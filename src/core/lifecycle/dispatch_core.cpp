@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "util/bytes.hpp"
 #include "util/log.hpp"
@@ -84,13 +83,13 @@ std::size_t DispatchCore::dispatch_pass(const PlaceFn& place,
                                         std::size_t max_placements) {
   // One pass suffices: placements only shrink the free space, so a task
   // that did not fit now will not fit later in the same pass.
-  std::deque<std::uint64_t> waiting;
+  waiting_.clear();
   std::size_t placed = 0;
   while (!ready_.empty() && placed < max_placements) {
     const std::uint64_t task_id = ready_.front();
     ready_.pop_front();
     if (defer && defer(task_id)) {
-      waiting.push_back(task_id);
+      waiting_.push_back(task_id);
       continue;
     }
     ensure_allocation(task_id);
@@ -109,16 +108,16 @@ std::size_t DispatchCore::dispatch_pass(const PlaceFn& place,
       commit(task_id, *worker, e.alloc);
       ++placed;
     } else {
-      waiting.push_back(task_id);
+      waiting_.push_back(task_id);
     }
   }
   // Tasks never scanned (placement quota reached) keep their order behind
   // the scanned-but-unplaced ones.
   while (!ready_.empty()) {
-    waiting.push_back(ready_.front());
+    waiting_.push_back(ready_.front());
     ready_.pop_front();
   }
-  ready_ = std::move(waiting);
+  ready_.swap(waiting_);
   return placed;
 }
 

@@ -130,6 +130,13 @@ class DispatchCore {
  public:
   /// Returns the chosen worker for (task, alloc), or nullopt if nothing
   /// fits right now. Must not commit resources (commit does).
+  ///
+  /// Monotonicity: within one dispatch call a placer may assume that, once
+  /// nothing fitted `alloc`, nothing fits any allocation >= `alloc` on
+  /// kManagedResources. The runtimes' placers rely on it to skip scans
+  /// (core/lifecycle/no_fit_memo.hpp); it holds because a call only commits
+  /// capacity (CommitFn), never releases it, keeps the worker set and its
+  /// flags fixed, and every fit test is monotone in the allocation.
   using PlaceFn = std::function<std::optional<std::uint64_t>(
       std::uint64_t task, const ResourceVector& alloc)>;
   /// Commits a placement the machine has admitted: bind resources, send
@@ -280,6 +287,9 @@ class DispatchCore {
   std::vector<CategoryId> acct_category_;   ///< accounting-table ids
   std::vector<std::vector<std::uint64_t>> dependents_;
   std::deque<std::uint64_t> ready_;  ///< FIFO; evictions requeue at the front
+  /// dispatch_pass's working queue: the unplaced tasks in order, swapped
+  /// into ready_ at the end of the pass. Empty between passes.
+  std::deque<std::uint64_t> waiting_;
   WasteAccounting accounting_;
   ResourceVector evicted_alloc_;
   std::size_t evictions_ = 0;

@@ -572,17 +572,20 @@ bool ProtocolManager::transport_overloaded() const noexcept {
   return pushed > 0 && pushed * 2 >= workers_.size();
 }
 
-std::optional<std::uint64_t> ProtocolManager::place_worker(
+std::optional<std::uint64_t> choose_worker(
+    const std::map<std::uint64_t, WorkerState>& workers,
+    std::span<const char> bp_sample,
+    const core::resilience::ReliabilityTracker* reliability, double now,
     const ResourceVector& alloc, std::optional<std::uint64_t> exclude,
-    bool* bp_blocked) const {
-  const auto pushed_back = [this, bp_blocked](std::uint64_t wid) {
-    if (wid >= bp_sample_.size() || !bp_sample_[wid]) return false;
+    bool* bp_blocked) {
+  const auto pushed_back = [bp_sample, bp_blocked](std::uint64_t wid) {
+    if (wid >= bp_sample.size() || !bp_sample[wid]) return false;
     if (bp_blocked) *bp_blocked = true;
     return true;
   };
-  if (!cfg_.resilience.reliability) {
+  if (!reliability) {
     // First-fit against announced capacities (the legacy policy).
-    for (const auto& [wid, ws] : workers_) {
+    for (const auto& [wid, ws] : workers) {
       if (exclude && wid == *exclude) continue;
       if (!alloc.fits_within(ws.capacity - ws.committed)) continue;
       if (pushed_back(wid)) continue;
@@ -595,13 +598,12 @@ std::optional<std::uint64_t> ProtocolManager::place_worker(
   std::optional<std::uint64_t> pick;
   double pick_score = -1.0;
   bool pick_probationary = true;
-  const double now = static_cast<double>(tick_);
-  for (const auto& [wid, ws] : workers_) {
+  for (const auto& [wid, ws] : workers) {
     if (exclude && wid == *exclude) continue;
     if (!alloc.fits_within(ws.capacity - ws.committed)) continue;
     if (pushed_back(wid)) continue;
-    const bool probationary = reliability_.probationary(wid, now);
-    const double score = reliability_.score(wid);
+    const bool probationary = reliability->probationary(wid, now);
+    const double score = reliability->score(wid);
     const bool better = !pick || (pick_probationary && !probationary) ||
                         (pick_probationary == probationary &&
                          score > pick_score);
@@ -612,6 +614,14 @@ std::optional<std::uint64_t> ProtocolManager::place_worker(
     }
   }
   return pick;
+}
+
+std::optional<std::uint64_t> ProtocolManager::place_worker(
+    const ResourceVector& alloc, std::optional<std::uint64_t> exclude,
+    bool* bp_blocked) const {
+  return choose_worker(workers_, bp_sample_,
+                       cfg_.resilience.reliability ? &reliability_ : nullptr,
+                       static_cast<double>(tick_), alloc, exclude, bp_blocked);
 }
 
 void ProtocolManager::dispatch_queued() {
@@ -633,23 +643,31 @@ void ProtocolManager::dispatch_queued() {
       }
     }
   }
+  // Placements only commit capacity within this call, so an allocation no
+  // worker fitted stays unplaceable, along with every larger one, until
+  // the call ends (core/lifecycle/no_fit_memo.hpp).
+  no_fit_.clear();
   core_.dispatch_pass(
-      // Placement query, no commit (see place_worker for the policy). The
+      // Placement query, no commit (see choose_worker for the policy). The
       // in-flight cap is the shared admission gate
-      // (core/lifecycle/drain.hpp) over the tick's one sample.
+      // (core/lifecycle/drain.hpp) over the tick's one sample; the no-fit
+      // memo sits behind it, so held probes are never memoized.
       core::lifecycle::gated_place(
           [capped] { return capped; }, [&inflight] { return inflight; },
           storage_degraded_ ? 0 : cfg_.resilience.degraded_inflight_cap,
           res_counters_.dispatches_held,
           [this](std::uint64_t, const ResourceVector& alloc)
               -> std::optional<std::uint64_t> {
+            if (no_fit_.refuses(alloc)) return std::nullopt;
             bool bp_blocked = false;
             const auto wid = place_worker(alloc, std::nullopt, &bp_blocked);
             if (!wid && bp_blocked) {
               // Would have placed, but the chosen transport can't absorb
               // more: the task waits for the queue to drain below the low
-              // watermark.
+              // watermark. Not a "does not fit" result, so never memoized.
               ++chaos_.dispatches_deferred_backpressure;
+            } else if (!wid) {
+              no_fit_.record(alloc);
             }
             return wid;
           }),

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/lifecycle/dispatch_core.hpp"
+#include "core/lifecycle/no_fit_memo.hpp"
 #include "core/metrics.hpp"
 #include "core/recovery/crash.hpp"
 #include "core/recovery/recovery_log.hpp"
@@ -24,6 +25,31 @@ class ByteReader;
 }  // namespace tora::util
 
 namespace tora::proto {
+
+/// One worker in the manager's registry: the capacity it announced, the
+/// resources committed to attempts dispatched to it, and its link.
+struct WorkerState {
+  core::ResourceVector capacity;
+  core::ResourceVector committed;
+  DuplexLinkPtr link;
+  std::size_t last_seen_tick = 0;
+  std::size_t consecutive_failures = 0;
+};
+
+/// The manager's placement rule: a worker of `workers` whose free capacity
+/// fits `alloc`, skipping `exclude` and any worker whose link is flagged in
+/// `bp_sample` (the tick's backpressure sample). First-fit when
+/// `reliability` is null; otherwise the most reliable non-probationary fit
+/// at `now` (ties to the lowest id), probationary workers as last resort.
+/// `bp_blocked` (nullable) is set when at least one worker fit but was
+/// skipped only for backpressure. Returns nullopt only when no worker is
+/// eligible, so with `bp_blocked` unset it means nothing fits `alloc`.
+std::optional<std::uint64_t> choose_worker(
+    const std::map<std::uint64_t, WorkerState>& workers,
+    std::span<const char> bp_sample,
+    const core::resilience::ReliabilityTracker* reliability, double now,
+    const core::ResourceVector& alloc, std::optional<std::uint64_t> exclude,
+    bool* bp_blocked = nullptr);
 
 /// The manager side of the protocol (paper Fig. 1's workflow manager + task
 /// scheduler + bucketing manager): resolves dependencies, asks the
@@ -224,14 +250,6 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
     std::size_t spec_tick = 0;  ///< when the duplicate was dispatched
   };
 
-  struct WorkerState {
-    core::ResourceVector capacity;
-    core::ResourceVector committed;
-    DuplexLinkPtr link;
-    std::size_t last_seen_tick = 0;
-    std::size_t consecutive_failures = 0;
-  };
-
   void handle(const Message& msg);
   void on_heartbeat(const Message& msg);
   void on_result(const Message& msg);
@@ -289,12 +307,8 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   /// At least one infrastructure casualty observed — speculation never
   /// spends resources on a calm pool.
   bool churn_evidence() const noexcept;
-  /// A worker fitting `alloc`, skipping `exclude` and any worker whose
-  /// transport reported backpressure in this tick's sample. First-fit
-  /// normally; with reliability scoring, the most reliable
-  /// non-probationary fit (ties to the lowest id), probationary workers as
-  /// last resort. `bp_blocked` (nullable) is set when at least one worker
-  /// fit but was skipped only for backpressure.
+  /// choose_worker over this manager's registry, backpressure sample,
+  /// reliability scores (when resilience.reliability is on) and tick.
   std::optional<std::uint64_t> place_worker(const core::ResourceVector& alloc,
                                             std::optional<std::uint64_t>
                                                 exclude,
@@ -335,6 +349,8 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   /// Transient per-phase input, journaled rather than snapshotted.
   std::vector<char> bp_sample_;
   bool bp_sampled_this_tick_ = false;
+  /// Allocations no worker fitted in the current dispatch_queued() call.
+  core::lifecycle::NoFitMemo no_fit_;
   std::size_t tick_ = 0;
   std::size_t dispatches_ = 0;
   bool started_ = false;

@@ -402,7 +402,10 @@ void Simulation::dispatch() {
   // First-fit over the FIFO queue (the shared machine's dispatch pass);
   // tasks that do not fit anywhere stay queued in order. Degraded mode's
   // in-flight cap is the shared admission gate (core/lifecycle/drain.hpp):
-  // held probes are counted but the task stays queued in order.
+  // held probes are counted but the task stays queued in order. Behind the
+  // gate, the no-fit memo refuses allocations that dominate one no worker
+  // fitted earlier in this call, without scanning the pool.
+  no_fit_.clear();
   core_.dispatch_pass(
       core::lifecycle::gated_place(
           [this] { return storms_.degraded(); },
@@ -411,7 +414,10 @@ void Simulation::dispatch() {
           res_counters_.dispatches_held,
           [this](std::uint64_t, const ResourceVector& alloc)
               -> std::optional<std::uint64_t> {
-            return pool_.find_worker_for(alloc, config_.placement);
+            if (no_fit_.refuses(alloc)) return std::nullopt;
+            const auto wid = pool_.find_worker_for(alloc, config_.placement);
+            if (!wid) no_fit_.record(alloc);
+            return wid;
           }),
       [this](std::uint64_t task_id, std::uint64_t worker_id,
              const ResourceVector& alloc) {

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "core/lifecycle/dispatch_core.hpp"
+#include "core/lifecycle/no_fit_memo.hpp"
 #include "core/metrics.hpp"
 #include "core/resilience/resilience.hpp"
 #include "core/resources.hpp"
@@ -293,6 +294,8 @@ class Simulation final : private core::lifecycle::RuntimeHooks {
   // never heap-allocates (capacity sticks after the first storm/eviction).
   std::vector<std::uint64_t> scratch_victims_;
   std::vector<std::uint64_t> scratch_alive_;
+  /// Allocations no worker fitted in the current dispatch() call.
+  core::lifecycle::NoFitMemo no_fit_;
 
   // Resilience layer (inert unless config_.resilience enables features).
   core::resilience::DeadlineTracker deadlines_;

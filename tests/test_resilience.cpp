@@ -598,6 +598,35 @@ TEST(ResilienceStorm, SimulatedStormBurstsDriveDegradedModeAndStillComplete) {
   EXPECT_EQ(r.resilience.storms_entered, r.resilience.storms_exited);
 }
 
+TEST(ResilienceStorm, StormRunHoldsAnExactNumberOfDispatches) {
+  // The storm smoke run above with a one-attempt admission cap, so the
+  // degraded-mode gate holds probes, and the held count pinned: it is a
+  // deterministic function of the run, so any change to which probes the
+  // dispatch pass makes shows up here.
+  const auto tasks = retry_workload(80);
+  tora::sim::SimConfig cfg;
+  cfg.worker_capacity = kCapacity;
+  cfg.seed = 11;
+  cfg.churn.enabled = true;
+  cfg.churn.initial_workers = 10;
+  cfg.churn.min_workers = 4;
+  cfg.churn.max_workers = 12;
+  cfg.churn.mean_interarrival_s = 30.0;
+  cfg.churn.storm_interval_s = 60.0;
+  cfg.churn.storm_duration_s = 30.0;
+  cfg.churn.storm_evict_fraction = 0.8;
+  cfg.resilience = everything_on();
+  cfg.resilience.storm_enter = 4;
+  cfg.resilience.degraded_inflight_cap = 1;
+
+  auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 3);
+  tora::sim::Simulation sim(tasks, alloc, cfg);
+  const auto r = sim.run();
+  EXPECT_EQ(r.tasks_completed + r.tasks_fatal, tasks.size());
+  EXPECT_EQ(r.resilience.storms_entered, 2u);
+  EXPECT_EQ(r.resilience.dispatches_held, 436u);
+}
+
 TEST(ResilienceStorm, StormKnobsAreValidated) {
   const auto tasks = retry_workload(4);
   tora::sim::SimConfig cfg;

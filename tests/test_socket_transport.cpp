@@ -371,6 +371,31 @@ TEST(TcpBackpressure, ManagerSkipsBackpressuredWorkersAndCountsDeferrals) {
          "deferrals, not dispatch";
 }
 
+TEST(TcpBackpressure, StuckWorkerDefersAnExactNumberOfProbes) {
+  // The stuck-manager half of ManagerSkipsBackpressuredWorkersAndCounts-
+  // Deferrals with its counter pinned: a probe refused only for
+  // backpressure is counted once per queued task per pump.
+  const auto tasks = parity_workload(6);
+  auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 7);
+
+  static bool blocked = false;
+  blocked = false;
+  auto link = std::make_shared<DuplexLink>(
+      std::make_unique<StubBackpressureChannel>(&blocked),
+      std::make_unique<tora::proto::Channel>());
+  WorkerAgent agent(0, kCapacity, tasks, link);
+  ProtocolManager stuck(tasks, alloc, {link});
+  agent.announce();
+  stuck.start();
+  stuck.pump();
+  agent.pump();
+  blocked = true;
+  EXPECT_EQ(stuck.chaos().dispatches_deferred_backpressure, 0u);
+  stuck.pump();
+  stuck.pump();
+  EXPECT_EQ(stuck.chaos().dispatches_deferred_backpressure, 10u);
+}
+
 // -------------------------------------------------------------- threaded
 
 // Free-running deployment: the manager and every worker own their thread

@@ -411,4 +411,43 @@ TEST(ManagerStorageDegradation, DegradedModeHoldsNewDispatches) {
   }
 }
 
+TEST(ManagerStorageDegradation, DegradedModeHoldsAnExactNumberOfProbes) {
+  // DegradedModeHoldsNewDispatches with its held-probe count pinned: every
+  // queued task is refused by the admission gate once per pump.
+  using tora::proto::DuplexLink;
+  using tora::proto::Message;
+  using tora::proto::MsgType;
+  using tora::proto::ProtocolManager;
+
+  const auto tasks = small_tasks(6);
+  auto alloc = tora::core::make_allocator(tora::core::kMaxSeen, 1);
+  auto link = std::make_shared<DuplexLink>();
+
+  BreaksAfter storage(0, 1u << 20);
+  RecoveryLog log(storage);
+  RecoveryConfig cfg;
+  cfg.storage_retry_base_ticks = 64;
+  cfg.storage_retry_cap_ticks = 64;
+  try {
+    log.open_fresh();
+  } catch (const StorageError&) {
+  }
+
+  ProtocolManager manager(tasks, alloc, {link});
+  manager.attach_recovery(&log, nullptr, cfg, nullptr);
+  manager.note_storage_failure();
+  ASSERT_TRUE(manager.storage_health().degraded);
+
+  Message ready;
+  ready.type = MsgType::WorkerReady;
+  ready.worker_id = 0;
+  ready.resources = kCap;
+  link->to_manager.send(encode(ready));
+  manager.start();
+  for (int i = 0; i < 8; ++i) manager.pump();
+
+  EXPECT_EQ(manager.dispatches_sent(), 0u);
+  EXPECT_EQ(manager.resilience().dispatches_held, 48u);
+}
+
 }  // namespace
