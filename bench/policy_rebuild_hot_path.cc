@@ -17,9 +17,15 @@
 //     the legacy engine's exact bucket configuration (same record
 //     multiset), which the second checksum gate verifies.
 //
+// A second table runs exhaustive_bucketing at k = 1 against a legacy
+// replica whose break points come from the per-candidate forward scans EB
+// used before it scored candidates from the store's prefix sums: one
+// BucketSet::from_sorted (an O(n) pass) per candidate bucket count. Draws
+// and final buckets must again match bitwise.
+//
 // Emits BENCH_rebuild.json (CI uploads it as the perf-smoke artifact) and,
-// when given a committed baseline, enforces a 3x regression guard on the
-// scheduled-engine ns/cycle at the largest history size.
+// when given a committed baseline, enforces 3x regression guards on the
+// greedy scheduled-engine and the EB k = 1 ns/cycle at the largest history.
 //
 // Usage: policy_rebuild_hot_path [out.json] [baseline.json]
 
@@ -29,7 +35,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -37,6 +45,7 @@
 #include <vector>
 
 #include "core/bucket.hpp"
+#include "core/exhaustive_bucketing.hpp"
 #include "core/greedy_bucketing.hpp"
 #include "core/record.hpp"
 #include "core/record_store.hpp"
@@ -45,6 +54,7 @@
 namespace {
 
 using tora::core::BucketSet;
+using tora::core::ExhaustiveBucketing;
 using tora::core::GreedyBucketing;
 using tora::core::Record;
 using tora::core::SortedRecords;
@@ -65,14 +75,36 @@ std::uint64_t bucket_checksum(const BucketSet& set) {
   return h;
 }
 
+using BreakFn = std::function<std::vector<std::size_t>(const SortedRecords&)>;
+
+/// EB's break points (default cap of 10 buckets) as computed before
+/// prefix-sum scoring: every candidate built with a forward-scan BucketSet
+/// and scored, strict < over b.
+std::vector<std::size_t> per_candidate_scan_ends(const SortedRecords& sorted) {
+  const std::size_t n = sorted.size();
+  double best_cost = std::numeric_limits<double>::infinity();
+  std::vector<std::size_t> best_ends{n - 1};
+  for (std::size_t b = 1; b <= std::min<std::size_t>(10, n); ++b) {
+    auto ends = ExhaustiveBucketing::even_spacing_ends(sorted.values, b);
+    const double cost = tora::core::expected_waste(
+        BucketSet::from_sorted(sorted.values, sorted.significances, ends,
+                               sorted.sig_prefix.back()));
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_ends = std::move(ends);
+    }
+  }
+  return best_ends;
+}
+
 /// The pre-incremental engine: sorted insertion per observe, full rebuild
-/// per predict. Break indices come from a scratch GreedyBucketing (break
-/// computation consumes no sampler state), so the replica pays exactly the
-/// same break-point cost the old engine paid in-line.
+/// per predict. Break indices come from `breaks` (a scratch policy or a
+/// replica; break computation consumes no sampler state), so the replica
+/// pays exactly the break-point cost the old engine paid in-line.
 class LegacyEngine {
  public:
-  explicit LegacyEngine(std::uint64_t sampler_seed)
-      : rng_(sampler_seed), oracle_(Rng(0)) {}
+  LegacyEngine(std::uint64_t sampler_seed, BreakFn breaks)
+      : rng_(sampler_seed), breaks_(std::move(breaks)) {}
 
   void observe(double value, double significance) {
     const auto pos = std::upper_bound(
@@ -108,14 +140,14 @@ class LegacyEngine {
       vsig_prefix_[i + 1] = vsig_prefix_[i] + values_[i] * sigs_[i];
     }
     const SortedRecords view{values_, sigs_, sig_prefix_, vsig_prefix_};
-    set_ = BucketSet::from_break_indices(records_, oracle_.break_indices(view));
+    set_ = BucketSet::from_break_indices(records_, breaks_(view));
     dirty_ = false;
     built_ = true;
     ++rebuilds_;
   }
 
   Rng rng_;
-  GreedyBucketing oracle_;
+  BreakFn breaks_;
   std::vector<Record> records_;
   std::vector<double> values_, sigs_, sig_prefix_, vsig_prefix_;
   BucketSet set_;
@@ -139,6 +171,7 @@ std::vector<double> make_values(std::size_t n) {
 struct SeriesResult {
   double ns_per_cycle = 0.0;
   double rebuilds_per_s = 0.0;
+  std::size_t exact_rescores = 0;  // EB rebuilds that took the exact path
   std::uint64_t draw_checksum = 0;
   std::uint64_t final_buckets = 0;
 };
@@ -175,15 +208,16 @@ struct SizeRow {
   std::size_t history = 0;
   std::size_t cycles = 0;
   SeriesResult legacy, k1, sched;
+  SeriesResult eb_legacy, eb_k1;
 };
 
-double parse_guard(const std::string& path) {
+double parse_guard(const std::string& path, const std::string& name) {
   std::ifstream in(path);
   if (!in) return 0.0;
   std::stringstream ss;
   ss << in.rdbuf();
   const std::string text = ss.str();
-  const std::string key = "\"guard_ns_per_cycle\":";
+  const std::string key = "\"" + name + "\":";
   const auto pos = text.find(key);
   if (pos == std::string::npos) return 0.0;
   return std::stod(text.substr(pos + key.size()));
@@ -206,7 +240,10 @@ int main(int argc, char** argv) {
     const auto values = make_values(n + row.cycles);
 
     {
-      LegacyEngine legacy(kSamplerSeed);
+      GreedyBucketing oracle{Rng(0)};
+      LegacyEngine legacy(kSamplerSeed, [&oracle](const SortedRecords& v) {
+        return oracle.break_indices(v);
+      });
       row.legacy = run_series(legacy, values, n, row.cycles, 0,
                               [](LegacyEngine& e) {
                                 return bucket_checksum(e.buckets());
@@ -228,9 +265,29 @@ int main(int argc, char** argv) {
                              });
     }
 
+    {
+      LegacyEngine legacy(kSamplerSeed, per_candidate_scan_ends);
+      row.eb_legacy = run_series(legacy, values, n, row.cycles, 0,
+                                 [](LegacyEngine& e) {
+                                   return bucket_checksum(e.buckets());
+                                 });
+    }
+    {
+      ExhaustiveBucketing k1{Rng(kSamplerSeed)};
+      const std::size_t rescores_before = k1.exact_rescore_count();
+      row.eb_k1 = run_series(k1, values, n, row.cycles, k1.rebuild_count(),
+                             [](ExhaustiveBucketing& e) {
+                               return bucket_checksum(e.fresh_buckets());
+                             });
+      row.eb_k1.exact_rescores = k1.exact_rescore_count() - rescores_before;
+    }
+
     const bool k1_match =
         row.k1.draw_checksum == row.legacy.draw_checksum &&
         row.k1.final_buckets == row.legacy.final_buckets;
+    const bool eb_match =
+        row.eb_k1.draw_checksum == row.eb_legacy.draw_checksum &&
+        row.eb_k1.final_buckets == row.eb_legacy.final_buckets;
     const bool sched_match =
         row.sched.final_buckets == row.legacy.final_buckets;
     if (!k1_match) {
@@ -243,6 +300,11 @@ int main(int argc, char** argv) {
                 << ": scheduled engine's flushed buckets diverged\n";
       all_match = false;
     }
+    if (!eb_match) {
+      std::cerr << "history " << n
+                << ": EB k=1 engine diverged from the per-candidate scan\n";
+      all_match = false;
+    }
     std::cout << "history " << n << " (" << row.cycles << " cycles)\n"
               << "  legacy:      " << row.legacy.ns_per_cycle
               << " ns/cycle, " << row.legacy.rebuilds_per_s << " rebuilds/s\n"
@@ -253,13 +315,21 @@ int main(int argc, char** argv) {
               << " ns/cycle, " << row.sched.rebuilds_per_s
               << " rebuilds/s, flush " << (sched_match ? "match" : "MISMATCH")
               << ", speedup "
-              << row.legacy.ns_per_cycle / row.sched.ns_per_cycle << "x\n";
+              << row.legacy.ns_per_cycle / row.sched.ns_per_cycle << "x\n"
+              << "  EB legacy:   " << row.eb_legacy.ns_per_cycle
+              << " ns/cycle\n"
+              << "  EB (k=1):    " << row.eb_k1.ns_per_cycle
+              << " ns/cycle, " << row.eb_k1.exact_rescores
+              << " exact re-scores, draws " << (eb_match ? "match" : "MISMATCH")
+              << ", speedup "
+              << row.eb_legacy.ns_per_cycle / row.eb_k1.ns_per_cycle << "x\n";
     rows.push_back(row);
   }
 
   const SizeRow& top = rows.back();
   const double speedup_max = top.legacy.ns_per_cycle / top.sched.ns_per_cycle;
   const double guard = top.sched.ns_per_cycle;
+  const double eb_guard = top.eb_k1.ns_per_cycle;
 
   std::ofstream out(out_path);
   out << "{\n"
@@ -289,24 +359,52 @@ int main(int argc, char** argv) {
         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n"
+      << "  \"exhaustive_bucketing_k1\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const SizeRow& r = rows[i];
+    out << "    {\"history\": " << r.history << ", \"cycles\": " << r.cycles
+        << ",\n"
+        << "     \"legacy_ns_per_cycle\": " << r.eb_legacy.ns_per_cycle
+        << ", \"k1_ns_per_cycle\": " << r.eb_k1.ns_per_cycle
+        << ", \"speedup\": "
+        << r.eb_legacy.ns_per_cycle / r.eb_k1.ns_per_cycle
+        << ", \"k1_exact_rescores\": " << r.eb_k1.exact_rescores << ",\n"
+        << "     \"draws_match\": "
+        << (r.eb_k1.draw_checksum == r.eb_legacy.draw_checksum &&
+                    r.eb_k1.final_buckets == r.eb_legacy.final_buckets
+                ? "true"
+                : "false")
+        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n"
       << "  \"speedup_at_max_history\": " << speedup_max << ",\n"
       << "  \"guard_ns_per_cycle\": " << guard << ",\n"
+      << "  \"eb_guard_ns_per_cycle\": " << eb_guard << ",\n"
       << "  \"checksums_match\": " << (all_match ? "true" : "false") << "\n"
       << "}\n";
 
   if (!all_match) return 1;
 
   if (!baseline_path.empty()) {
-    const double base = parse_guard(baseline_path);
-    if (base > 0.0 && guard > 3.0 * base) {
-      std::cerr << "perf regression: scheduled engine " << guard
-                << " ns/cycle at " << top.history
-                << " records exceeds 3x the committed baseline (" << base
-                << " ns/cycle)\n";
-      return 1;
-    }
-    std::cout << "regression guard: " << guard << " ns/cycle vs baseline "
-              << base << " ns/cycle (limit 3x)\n";
+    bool regressed = false;
+    const auto check = [&](const char* what, const std::string& key,
+                           double now) {
+      const double base = parse_guard(baseline_path, key);
+      if (base > 0.0 && now > 3.0 * base) {
+        std::cerr << "perf regression: " << what << " " << now
+                  << " ns/cycle at " << top.history
+                  << " records exceeds 3x the committed baseline (" << base
+                  << " ns/cycle)\n";
+        regressed = true;
+        return;
+      }
+      std::cout << "regression guard (" << what << "): " << now
+                << " ns/cycle vs baseline " << base
+                << " ns/cycle (limit 3x)\n";
+    };
+    check("greedy scheduled engine", "guard_ns_per_cycle", guard);
+    check("EB k=1 engine", "eb_guard_ns_per_cycle", eb_guard);
+    if (regressed) return 1;
   }
   return 0;
 }

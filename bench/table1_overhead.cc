@@ -10,7 +10,11 @@
 // cost model (per-candidate range scans, exactly Algorithm 1's arithmetic)
 // reproduces GB's quadratic growth; we additionally benchmark this library's
 // default prefix-sum GB, which computes identical break points at
-// near-EB cost (see DESIGN.md §4).
+// near-EB cost (see DESIGN.md §4). This library's EB scores its candidate
+// configurations from the record store's prefix sums, so its linear term is
+// one forward-scan build of the winning configuration (plus the record
+// merge) rather than the paper's scan per candidate; it still grows
+// linearly, with a smaller slope than the paper's column.
 //
 // Records are drawn from N(8 GB, 2 GB) as in the paper's §IV-A example, with
 // significance = arrival index. Each iteration observes one fresh record and

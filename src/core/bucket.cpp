@@ -192,7 +192,10 @@ double BucketSet::max_rep() const {
 }
 
 double expected_waste(const BucketSet& set) {
-  const auto& b = set.buckets();
+  return expected_waste(std::span<const Bucket>(set.buckets()));
+}
+
+double expected_waste(std::span<const Bucket> b) {
   const std::size_t n = b.size();
   if (n == 0) throw std::invalid_argument("expected_waste: empty bucket set");
 
@@ -202,34 +205,34 @@ double expected_waste(const BucketSet& set) {
   //   i >  j: rep_j is exhausted entirely (failed allocation), then a higher
   //           bucket k > j is chosen with renormalized probability.
   // Rows are independent; each row is filled right-to-left because T[i][j]
-  // for j < i depends on T[i][k] with k > j.
-  std::vector<std::vector<double>> t(n, std::vector<double>(n, 0.0));
-
+  // for j < i depends on T[i][k] with k > j. The total is accumulated row
+  // by row in (i, j) order, so one row buffer suffices.
+  thread_local std::vector<double> scratch;
+  scratch.resize(2 * n + 1);
+  double* const t = scratch.data();
   // Suffix probability sums: suffix[j] = sum_{m >= j} prob_m.
-  std::vector<double> suffix(n + 1, 0.0);
+  double* const suffix = t + n;
+  suffix[n] = 0.0;
   for (std::size_t j = n; j-- > 0;) suffix[j] = suffix[j + 1] + b[j].prob;
 
+  double w = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t jj = n; jj-- > 0;) {
       if (i <= jj) {
-        t[i][jj] = b[jj].rep - b[i].weighted_mean;
+        t[jj] = b[jj].rep - b[i].weighted_mean;
       } else {
         double escalated = 0.0;
         const double denom = suffix[jj + 1];
         if (denom > 0.0) {
           for (std::size_t k = jj + 1; k < n; ++k) {
-            escalated += (b[k].prob / denom) * t[i][k];
+            escalated += (b[k].prob / denom) * t[k];
           }
         }
-        t[i][jj] = b[jj].rep + escalated;
+        t[jj] = b[jj].rep + escalated;
       }
     }
-  }
-
-  double w = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      w += b[i].prob * b[j].prob * t[i][j];
+      w += b[i].prob * b[j].prob * t[j];
     }
   }
   return w;

@@ -123,4 +123,11 @@ class BucketSet {
 /// directly. Requires a non-empty configuration.
 double expected_waste(const BucketSet& set);
 
+/// The same cost over a bare bucket list (only rep, prob and weighted_mean
+/// are read), so candidates can be scored without building a BucketSet.
+/// O(B³) time; the T row and suffix sums live in a reused thread-local
+/// buffer, so warm calls allocate nothing. Bit-identical to the BucketSet
+/// overload, which forwards here. Requires a non-empty list.
+double expected_waste(std::span<const Bucket> buckets);
+
 }  // namespace tora::core

@@ -1,6 +1,7 @@
 #include "core/bucketing_policy.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/bytes.hpp"
@@ -17,6 +18,9 @@ std::size_t BucketingPolicy::RebuildSchedule::epoch_for(
 }
 
 void BucketingPolicy::observe(double peak_value, double significance) {
+  if (!std::isfinite(peak_value) || !std::isfinite(significance)) {
+    throw std::invalid_argument("BucketingPolicy: non-finite observation");
+  }
   if (peak_value < 0.0) {
     throw std::invalid_argument("BucketingPolicy: negative resource value");
   }

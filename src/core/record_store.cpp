@@ -26,32 +26,31 @@ void RecordStore::flush() {
                      return stage_values_[a] < stage_values_[b];
                    });
 
-  // Merge. On value ties the main run goes first, so a staged record lands
-  // after every previously observed equal value — the same position a
-  // per-observe upper_bound insert would have chosen.
-  scratch_values_.clear();
-  scratch_sigs_.clear();
-  scratch_values_.reserve(n + s);
-  scratch_sigs_.reserve(n + s);
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::size_t first_changed = n;  // merge position of the first staged record
-  while (i < n || j < s) {
-    const bool take_staged =
-        i == n || (j < s && stage_values_[stage_order_[j]] < values_[i]);
-    if (take_staged) {
-      first_changed = std::min(first_changed, scratch_values_.size());
-      scratch_values_.push_back(stage_values_[stage_order_[j]]);
-      scratch_sigs_.push_back(stage_sigs_[stage_order_[j]]);
-      ++j;
+  // Merge backward into the grown run, placing the largest remaining
+  // record last. On value ties the main run goes first, so a staged record
+  // lands after every previously observed equal value — the same position a
+  // per-observe upper_bound insert would have chosen. Once the smallest
+  // staged record is placed, everything before it is the untouched prefix
+  // of the old run.
+  values_.resize(n + s);
+  sigs_.resize(n + s);
+  std::size_t i = n;
+  std::size_t j = s;
+  std::size_t out = n + s;
+  while (j > 0) {
+    --out;
+    const std::size_t staged = stage_order_[j - 1];
+    if (i > 0 && stage_values_[staged] < values_[i - 1]) {
+      --i;
+      values_[out] = values_[i];
+      sigs_[out] = sigs_[i];
     } else {
-      scratch_values_.push_back(values_[i]);
-      scratch_sigs_.push_back(sigs_[i]);
-      ++i;
+      values_[out] = stage_values_[staged];
+      sigs_[out] = stage_sigs_[staged];
+      --j;
     }
   }
-  values_.swap(scratch_values_);
-  sigs_.swap(scratch_sigs_);
+  const std::size_t first_changed = out;
   stage_values_.clear();
   stage_sigs_.clear();
 

@@ -42,9 +42,11 @@ class RecordStore {
   /// Appends one record to the staging buffer. O(1) amortized.
   void add(double value, double significance);
 
-  /// Merges staged records into the sorted run and extends the prefix sums.
-  /// O(s log s + n) for s staged records over an n-record run; no-op when
-  /// nothing is staged.
+  /// Merges staged records into the sorted run in place and extends the
+  /// prefix sums. O(s log s + Δ) for s staged records, where Δ is the
+  /// length of the run from the first merged record to the end: the merge
+  /// runs backward from the grown end, so records below every staged value
+  /// never move. No-op when nothing is staged.
   void flush();
 
   bool empty() const noexcept {
@@ -84,10 +86,7 @@ class RecordStore {
   std::vector<double> vsig_prefix_{0.0};
   std::vector<double> stage_values_;
   std::vector<double> stage_sigs_;
-  // Reused merge scratch, kept to avoid per-flush allocations.
-  std::vector<double> scratch_values_;
-  std::vector<double> scratch_sigs_;
-  std::vector<std::size_t> stage_order_;
+  std::vector<std::size_t> stage_order_;  // reused sort permutation
 };
 
 }  // namespace tora::core

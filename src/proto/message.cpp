@@ -1,6 +1,7 @@
 #include "proto/message.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -66,22 +67,25 @@ void put(std::ostringstream& oss, const char* key, std::uint64_t v) {
 struct Fields {
   std::map<std::string, std::string, std::less<>> kv;
 
+  /// A finite number; `nan`/`inf` spellings are rejected because every
+  /// numeric field feeds the allocator's arithmetic.
   std::optional<double> number(std::string_view key) const {
     const auto it = kv.find(key);
     if (it == kv.end()) return std::nullopt;
     try {
       std::size_t pos = 0;
       const double v = std::stod(it->second, &pos);
-      if (pos != it->second.size()) return std::nullopt;
+      if (pos != it->second.size() || !std::isfinite(v)) return std::nullopt;
       return v;
     } catch (const std::exception&) {
       return std::nullopt;
     }
   }
 
+  /// A number in [0, 2^64), the range the cast below is defined on.
   std::optional<std::uint64_t> uint(std::string_view key) const {
     const auto v = number(key);
-    if (!v || *v < 0.0) return std::nullopt;
+    if (!v || *v < 0.0 || !(*v < 0x1p64)) return std::nullopt;
     return static_cast<std::uint64_t>(*v);
   }
 };

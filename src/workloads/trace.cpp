@@ -1,5 +1,6 @@
 #include "workloads/trace.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -17,7 +18,7 @@ double parse_double(const std::string& s, const char* what) {
   try {
     std::size_t pos = 0;
     const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
+    if (pos != s.size() || !std::isfinite(v)) throw std::invalid_argument(s);
     return v;
   } catch (const std::exception&) {
     throw std::invalid_argument(std::string("trace: bad ") + what + " field: '" +
@@ -57,10 +58,12 @@ Workload read_trace(std::istream& in, std::string name) {
       throw std::invalid_argument("trace: row with wrong field count");
     }
     core::TaskSpec t;
-    t.id = static_cast<std::uint64_t>(parse_double(r[0], "id"));
-    if (t.id != i - 1) {
+    // Compared as a double before any cast: converting a negative or
+    // out-of-range value to an integer is undefined.
+    if (parse_double(r[0], "id") != static_cast<double>(i - 1)) {
       throw std::invalid_argument("trace: ids must be dense and ordered");
     }
+    t.id = i - 1;
     t.category = r[1];
     t.demand[core::ResourceKind::Cores] = parse_double(r[2], "cores");
     t.demand[core::ResourceKind::MemoryMB] = parse_double(r[3], "memory_mb");

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace {
@@ -102,6 +103,21 @@ TEST(BucketingPolicyBase, ZeroSignificanceRecordsRejectedByBucketSet) {
   SingletonBuckets p{Rng(7)};
   p.observe(1.0, 0.0);
   EXPECT_THROW(p.buckets(), std::invalid_argument);
+}
+
+TEST(BucketingPolicyBase, NonFiniteObservationsRejected) {
+  // A NaN or infinite peak would sort to the top of the history and turn
+  // the top bucket's rep into inf; reject it before it is stored.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SingletonBuckets p{Rng(7)};
+  EXPECT_THROW(p.observe(nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(p.observe(inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(p.observe(1.0, nan), std::invalid_argument);
+  EXPECT_THROW(p.observe(1.0, inf), std::invalid_argument);
+  EXPECT_EQ(p.record_count(), 0u);
+  p.observe(4.0, 1.0);
+  EXPECT_EQ(p.predict(), 4.0);
 }
 
 TEST(BucketingPolicyBase, MixedZeroAndPositiveSignificanceWorks) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,6 +40,7 @@ using tora::core::GreedyBucketing;
 using tora::core::KMeansBucketing;
 using tora::core::QuantizedBucketing;
 using tora::core::Record;
+using tora::core::RecordStore;
 using tora::core::SortedRecords;
 using tora::util::Rng;
 
@@ -243,6 +245,50 @@ TEST(IncrementalBucketing, ScheduledModeConvergesOnFlush) {
   run_scheduled(exhaustive_factory(), 62);
   run_scheduled(kmeans_factory(), 63);
   run_scheduled(quantized_factory(), 64);
+}
+
+TEST(RecordStoreMerge, StagedBatchesMatchUpperBoundInsertion) {
+  // The in-place backward merge must place every staged batch exactly where
+  // repeated upper_bound insertion would (main run first on ties, arrival
+  // order among staged ties) and extend the prefix sums bit-identically to
+  // a forward recompute. Distinct significances make the order visible.
+  Rng gen(4242);
+  for (int trial = 0; trial < 12; ++trial) {
+    RecordStore store;
+    std::vector<Record> ref;
+    double significance = 0.5;
+    while (ref.size() < 1500) {
+      const auto batch = 1 + static_cast<std::size_t>(gen.uniform01() * 64.0);
+      for (std::size_t k = 0; k < batch; ++k) {
+        // Few distinct values: most records tie with the run or the batch.
+        const double value =
+            trial % 2 == 0 ? std::floor(gen.uniform(0.0, 24.0))
+                           : gen.uniform(0.0, 1e6);
+        store.add(value, significance);
+        const auto pos = std::upper_bound(
+            ref.begin(), ref.end(), value,
+            [](double v, const Record& r) { return v < r.value; });
+        ref.insert(pos, {value, significance});
+        significance += 1.25;
+      }
+      store.flush();
+      store.flush();  // nothing staged: a no-op
+      ASSERT_EQ(store.merged_count(), ref.size());
+      const SortedRecords view = store.sorted();
+      double sig_acc = 0.0;
+      double vsig_acc = 0.0;
+      ASSERT_EQ(view.sig_prefix[0], 0.0);
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(view.values[i], ref[i].value) << "trial " << trial;
+        ASSERT_EQ(view.significances[i], ref[i].significance)
+            << "trial " << trial << " index " << i;
+        sig_acc += ref[i].significance;
+        vsig_acc += ref[i].value * ref[i].significance;
+        ASSERT_EQ(view.sig_prefix[i + 1], sig_acc);
+        ASSERT_EQ(view.vsig_prefix[i + 1], vsig_acc);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
@@ -119,6 +120,37 @@ TEST(ProtoMessage, DecodeRejectsMalformedInput) {
   EXPECT_FALSE(decode("ready worker=1 =bad cores=1 memory=1 disk=1 time=0"));
   EXPECT_FALSE(decode("dispatch worker=1 task=2 category=%Z cores=1 "
                       "memory=1 disk=1 time=0"));  // bad escape
+}
+
+/// A line with a valid checksum over arbitrary field text, so decode()
+/// reaches the field parsers.
+std::string checksummed(const std::string& verb, const std::string& fields) {
+  char crc[17];
+  std::snprintf(crc, sizeof(crc), "%016llx",
+                static_cast<unsigned long long>(
+                    tora::util::hash64(verb + fields)));
+  return verb + " crc=" + crc + fields;
+}
+
+TEST(ProtoMessage, DecodeRejectsNonFiniteAndOutOfRangeNumbers) {
+  const std::string tail = " outcome=success runtime=1 exceeded=0";
+  const auto result = [&](const std::string& ids, const std::string& res) {
+    return decode(checksummed("result", ids + tail + res));
+  };
+  const std::string ids = " worker=2 task=17 attempt=1";
+  const std::string res = " cores=1 memory=512 disk=306 time=0";
+  ASSERT_TRUE(result(ids, res));  // the control line decodes
+  EXPECT_FALSE(result(ids, " cores=nan memory=inf disk=306 time=0"));
+  EXPECT_FALSE(result(ids, " cores=1 memory=512 disk=-inf time=0"));
+  EXPECT_FALSE(decode(checksummed(
+      "result", ids + " outcome=success runtime=inf exceeded=0" + res)));
+  // Integer fields: NaN and values at or above 2^64 have no uint64 value.
+  EXPECT_FALSE(result(" worker=nan task=17", res));
+  EXPECT_FALSE(result(" worker=2 task=18446744073709551616", res));
+  EXPECT_FALSE(result(" worker=2 task=1e300", res));
+  const auto top = result(" worker=2 task=18446744073709549568", res);
+  ASSERT_TRUE(top);  // the largest double below 2^64 still fits
+  EXPECT_EQ(top->task_id, 18446744073709549568ull);
 }
 
 TEST(ProtoMessage, DecodeRequiresChecksum) {

@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "workloads/colmena.hpp"
 #include "workloads/synthetic.hpp"
@@ -246,6 +247,21 @@ TEST(Trace, RejectsMalformedInput) {
       "id,category,cores,memory_mb,disk_mb,duration_s,peak_fraction\n"
       "5,c,1,1,1,1,0.5\n");
   EXPECT_THROW(tora::workloads::read_trace(bad_id), std::invalid_argument);
+}
+
+TEST(Trace, RejectsNonFiniteAndUnrepresentableFields) {
+  const std::string header =
+      "id,category,cores,memory_mb,disk_mb,duration_s,peak_fraction\n";
+  for (const char* row : {"0,c,nan,1,1,1,0.5\n", "0,c,1,inf,1,1,0.5\n",
+                          "0,c,1,1,1,-inf,0.5\n", "0,c,1,1,1,1,nan\n",
+                          "nan,c,1,1,1,1,0.5\n", "-1,c,1,1,1,1,0.5\n",
+                          "1e300,c,1,1,1,1,0.5\n"}) {
+    std::stringstream in(header + row);
+    EXPECT_THROW(tora::workloads::read_trace(in), std::invalid_argument)
+        << row;
+  }
+  std::stringstream ok(header + "0,c,1,1,1,1,0.5\n");
+  EXPECT_EQ(tora::workloads::read_trace(ok).tasks.size(), 1u);
 }
 
 }  // namespace
