@@ -16,21 +16,8 @@ std::uint32_t record_crc(RecordType type, std::string_view payload) {
   return util::crc32(payload, util::crc32({&type_byte, 1}));
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
 std::uint32_t get_u32(std::string_view bytes, std::size_t at) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at])) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + 1]))
-             << 8 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + 2]))
-             << 16 |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + 3]))
-             << 24;
+  return util::load_le<std::uint32_t>(bytes.data() + at);
 }
 
 }  // namespace
@@ -69,10 +56,10 @@ JournalWriter::JournalWriter(std::unique_ptr<AppendHandle> out,
 void JournalWriter::append(RecordType type, std::string_view payload) {
   std::string frame;
   frame.reserve(kFrameOverhead + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  util::append_le(frame, static_cast<std::uint32_t>(payload.size()));
   frame.push_back(static_cast<char>(type));
   frame += payload;
-  put_u32(frame, record_crc(type, payload));
+  util::append_le(frame, record_crc(type, payload));
   out_->append(frame);
   bytes_written_ += frame.size();
   if (counters_) {

@@ -123,13 +123,9 @@ std::string seal_snapshot(std::string_view body) {
   std::string out;
   out.reserve(kMagic.size() + 4 + body.size() + 4);
   out += kMagic;
-  util::ByteWriter w;
-  w.u32(kVersion);
-  out += w.bytes();
+  util::append_le(out, kVersion);
   out += body;
-  util::ByteWriter crc;
-  crc.u32(util::crc32(out));
-  out += crc.bytes();
+  util::append_le(out, util::crc32(out));
   return out;
 }
 
@@ -137,12 +133,14 @@ std::optional<std::string> open_snapshot(std::string_view file) {
   const std::size_t overhead = kMagic.size() + 4 + 4;
   if (file.size() < overhead) return std::nullopt;
   if (file.substr(0, kMagic.size()) != kMagic) return std::nullopt;
-  util::ByteReader tail(file.substr(file.size() - 4));
-  if (tail.u32() != util::crc32(file.substr(0, file.size() - 4))) {
+  const std::size_t crc_at = file.size() - 4;
+  if (util::load_le<std::uint32_t>(file.data() + crc_at) !=
+      util::crc32(file.substr(0, crc_at))) {
     return std::nullopt;
   }
-  util::ByteReader head(file.substr(kMagic.size(), 4));
-  if (head.u32() != kVersion) return std::nullopt;
+  if (util::load_le<std::uint32_t>(file.data() + kMagic.size()) != kVersion) {
+    return std::nullopt;
+  }
   return std::string(
       file.substr(kMagic.size() + 4, file.size() - overhead));
 }

@@ -10,18 +10,23 @@ namespace tora::core::replication {
 
 namespace {
 
-/// 'R' + body + u32 crc32(body), little-endian.
-std::string seal(std::string body) {
-  const std::uint32_t crc = util::crc32(body);
-  std::string out;
-  out.reserve(1 + body.size() + 4);
-  out.push_back('R');
-  out += body;
-  out.push_back(static_cast<char>(crc & 0xff));
-  out.push_back(static_cast<char>((crc >> 8) & 0xff));
-  out.push_back(static_cast<char>((crc >> 16) & 0xff));
-  out.push_back(static_cast<char>((crc >> 24) & 0xff));
-  return out;
+using Op = ReplicationFrame::Op;
+
+/// Starts a frame: 'R' + op, with room for `fields` more bytes and the crc,
+/// so the sealed frame is built in one buffer without a second copy.
+util::ByteWriter open_frame(Op op, std::size_t fields = 0) {
+  util::ByteWriter w;
+  w.reserve(1 + 1 + fields + 4);
+  w.u8('R');
+  w.u8(static_cast<std::uint8_t>(op));
+  return w;
+}
+
+/// Appends u32 crc32(op + fields), little-endian.
+std::string seal(util::ByteWriter w) {
+  std::string frame = w.take();
+  util::append_le(frame, util::crc32(std::string_view(frame).substr(1)));
+  return frame;
 }
 
 }  // namespace
@@ -34,61 +39,52 @@ const char* to_string(ReplicationConfig::CommitMode m) noexcept {
   return "unknown";
 }
 
-std::string encode_open_fresh() {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(ReplicationFrame::Op::OpenFresh));
-  return seal(w.take());
-}
+std::string encode_open_fresh() { return seal(open_frame(Op::OpenFresh)); }
 
 std::string encode_record(recovery::RecordType type,
                           std::string_view payload) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(ReplicationFrame::Op::Record));
+  util::ByteWriter w = open_frame(Op::Record, 1 + 4 + payload.size());
   w.u8(static_cast<std::uint8_t>(type));
   w.str(payload);
-  return seal(w.take());
+  return seal(std::move(w));
 }
 
 std::string encode_barrier(std::uint64_t seq) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(ReplicationFrame::Op::Barrier));
+  util::ByteWriter w = open_frame(Op::Barrier, 8);
   w.u64(seq);
-  return seal(w.take());
+  return seal(std::move(w));
 }
 
 std::string encode_rotate(std::uint64_t epoch, std::string_view snapshot_body,
                           std::uint64_t tick) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(ReplicationFrame::Op::Rotate));
+  util::ByteWriter w =
+      open_frame(Op::Rotate, 8 + 8 + 4 + snapshot_body.size());
   w.u64(epoch);
   w.u64(tick);
   w.str(snapshot_body);
-  return seal(w.take());
+  return seal(std::move(w));
 }
 
 std::string encode_ack(std::uint64_t seq) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(ReplicationFrame::Op::Ack));
+  util::ByteWriter w = open_frame(Op::Ack, 8);
   w.u64(seq);
-  return seal(w.take());
+  return seal(std::move(w));
 }
 
 std::string encode_fence(std::uint64_t term) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(ReplicationFrame::Op::Fence));
+  util::ByteWriter w = open_frame(Op::Fence, 8);
   w.u64(term);
-  return seal(w.take());
+  return seal(std::move(w));
 }
 
 std::optional<ReplicationFrame> decode_frame(std::string_view bytes) {
   if (bytes.size() < 1 + 1 + 4 || bytes.front() != 'R') return std::nullopt;
   const std::string_view body = bytes.substr(1, bytes.size() - 5);
-  const auto b = [&](std::size_t i) {
-    return static_cast<std::uint32_t>(
-        static_cast<unsigned char>(bytes[bytes.size() - 4 + i]));
-  };
-  const std::uint32_t crc = b(0) | b(1) << 8 | b(2) << 16 | b(3) << 24;
-  if (crc != util::crc32(body)) return std::nullopt;
+  const std::size_t crc_at = bytes.size() - 4;
+  if (util::load_le<std::uint32_t>(bytes.data() + crc_at) !=
+      util::crc32(body)) {
+    return std::nullopt;
+  }
   try {
     util::ByteReader r(body);
     ReplicationFrame f;

@@ -935,6 +935,9 @@ void ProtocolManager::task_evicted(std::uint64_t task_id, double scale) {
 
 std::string ProtocolManager::snapshot_body() const {
   util::ByteWriter w;
+  // Bodies grow with the history; an eighth of headroom keeps the next one
+  // from overflowing an exact hint into a 2x reallocation and copy.
+  w.reserve(last_body_bytes_ + last_body_bytes_ / 8);
   // Allocator bytes are owned by the facade (legacy layout at single-tenant
   // pass-through, versioned multi-tenant frame otherwise).
   core_.save_state(w);
@@ -978,6 +981,7 @@ std::string ProtocolManager::snapshot_body() const {
     w.u64(storage_retry_failures_);
   }
   if (term_ > 0) w.u64(term_);
+  last_body_bytes_ = w.size();
   return w.take();
 }
 

@@ -356,6 +356,9 @@ class ProtocolManager : private core::lifecycle::RuntimeHooks {
   bool started_ = false;
 
   core::recovery::RecoveryLog* log_ = nullptr;
+  /// Size of the last snapshot_body(), the next one's capacity hint.
+  /// Never serialized.
+  mutable std::size_t last_body_bytes_ = 0;
   core::recovery::CrashMonitor* crashes_ = nullptr;
   core::recovery::RecoveryConfig recovery_cfg_{};
   core::RecoveryCounters* recovery_counters_ = nullptr;

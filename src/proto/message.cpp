@@ -82,11 +82,16 @@ struct Fields {
     }
   }
 
-  /// A number in [0, 2^64), the range the cast below is defined on.
+  /// A decimal integer in [0, 2^64), parsed exactly (a detour through
+  /// double would round ids above 2^53).
   std::optional<std::uint64_t> uint(std::string_view key) const {
-    const auto v = number(key);
-    if (!v || *v < 0.0 || !(*v < 0x1p64)) return std::nullopt;
-    return static_cast<std::uint64_t>(*v);
+    const auto it = kv.find(key);
+    if (it == kv.end()) return std::nullopt;
+    const std::string& s = it->second;
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+    return v;
   }
 };
 

@@ -2,51 +2,55 @@
 
 #include <array>
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 
 namespace tora::util {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// kCrcTables[k][b] is the CRC register after byte b followed by k zero
+/// bytes, so one 8-byte word folds in with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
 std::uint32_t crc32(std::string_view data, std::uint32_t seed) noexcept {
-  static constexpr auto kTable = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    c = kTable[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  const char* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    // Two 32-bit halves: measurably faster than one 64-bit word here.
+    const std::uint32_t lo = load_le<std::uint32_t>(p) ^ c;
+    const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
-
-void ByteWriter::u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void ByteWriter::str(std::string_view s) {
   if (s.size() > 0xFFFFFFFFull) {
@@ -69,21 +73,15 @@ std::uint8_t ByteReader::u8() {
 
 std::uint32_t ByteReader::u32() {
   need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-         << (8 * i);
-  }
+  const auto v = load_le<std::uint32_t>(data_.data() + pos_);
+  pos_ += 4;
   return v;
 }
 
 std::uint64_t ByteReader::u64() {
   need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_++]))
-         << (8 * i);
-  }
+  const auto v = load_le<std::uint64_t>(data_.data() + pos_);
+  pos_ += 8;
   return v;
 }
 

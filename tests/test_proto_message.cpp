@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -151,6 +153,30 @@ TEST(ProtoMessage, DecodeRejectsNonFiniteAndOutOfRangeNumbers) {
   const auto top = result(" worker=2 task=18446744073709549568", res);
   ASSERT_TRUE(top);  // the largest double below 2^64 still fits
   EXPECT_EQ(top->task_id, 18446744073709549568ull);
+}
+
+TEST(ProtoMessage, IdsAboveTwoToThe53RoundTripExactly) {
+  // Integer fields are parsed as integers: a detour through double would
+  // round 2^53 + 1 down to 2^53.
+  constexpr std::uint64_t kAbove53 = (std::uint64_t{1} << 53) + 1;
+  for (const std::uint64_t id :
+       {kAbove53, std::numeric_limits<std::uint64_t>::max()}) {
+    for (Message m : {dispatch_msg(), result_msg()}) {
+      m.worker_id = id;
+      m.task_id = id;
+      m.attempt = id;
+      const auto d = decode(encode(m));
+      ASSERT_TRUE(d) << encode(m);
+      EXPECT_EQ(*d, m) << encode(m);
+    }
+  }
+  // Integer fields take plain decimal digits only.
+  const std::string res = " cores=1 memory=512 disk=306 time=0";
+  const std::string tail = " outcome=success runtime=1 exceeded=0";
+  for (const char* ids : {" worker=2 task=17.5", " worker=2 task=1e3",
+                          " worker=+2 task=17", " worker=2 task=0x11"}) {
+    EXPECT_FALSE(decode(checksummed("result", ids + tail + res))) << ids;
+  }
 }
 
 TEST(ProtoMessage, DecodeRequiresChecksum) {
