@@ -2,13 +2,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "core/lifecycle/category_table.hpp"
+#include "core/lifecycle/no_fit_memo.hpp"
 #include "core/metrics.hpp"
 #include "core/resources.hpp"
 #include "core/task.hpp"
@@ -116,11 +116,12 @@ class RuntimeHooks {
 
 /// The single implementation of the task-lifecycle state machine both
 /// runtimes drive (sim::Simulation event-timed, proto::ProtocolManager
-/// pump-ticked): dependency countdown, FIFO ready queue, dispatch-time
-/// allocation caching with revision()-based invalidation, retry escalation
-/// via exceeded masks, attempt counting, fatality cascades, and the
-/// eviction-vs-allocator-waste accounting split (infrastructure losses go
-/// to the eviction ledger, never into WasteAccounting).
+/// pump-ticked): dependency countdown, FIFO ready queue (indexed by
+/// allocation, see dispatch_pass), dispatch-time allocation caching with
+/// revision()-based invalidation, retry escalation via exceeded masks,
+/// attempt counting, fatality cascades, and the eviction-vs-allocator-waste
+/// accounting split (infrastructure losses go to the eviction ledger, never
+/// into WasteAccounting).
 ///
 /// Categories are interned once per task at construction — into the
 /// allocator's table for the allocate/record hot path and into the
@@ -141,15 +142,20 @@ class DispatchCore {
       std::uint64_t task, const ResourceVector& alloc)>;
   /// Commits a placement the machine has admitted: bind resources, send
   /// the dispatch message / schedule the finish event. The entry is
-  /// already Running with `attempts` incremented when this runs.
+  /// already Running with `attempts` incremented when this runs. Like the
+  /// hooks, it must not call back into the core: the pass holds cursors
+  /// into the queue across it.
   using CommitFn = std::function<void(std::uint64_t task, std::uint64_t worker,
                                       const ResourceVector& alloc)>;
   /// Optional: return true to hold a task back this pass without touching
-  /// its cached allocation (the protocol manager's backoff windows).
+  /// its cached allocation (the protocol manager's backoff windows). Must
+  /// be side-effect free: a pass given a NoFitMemo does not ask it about
+  /// tasks in a refused retry lane.
   using DeferFn = std::function<bool(std::uint64_t task)>;
 
   /// Validates the workload (dense 0-based ids; every dependency id smaller
-  /// than its task's id, which guarantees acyclicity), builds the reverse
+  /// than its task's id, which guarantees acyclicity; fewer than 2^32 - 1
+  /// tasks, so queue links fit 32 bits), builds the reverse
   /// dependency adjacency, interns every category, and pre-reserves the
   /// allocator's completion history for tasks.size() completions.
   /// `tasks` must outlive the core; `hooks` may be null.
@@ -183,9 +189,22 @@ class DispatchCore {
   /// keep their order behind the scanned-but-unplaced ones, so repeated
   /// quota-limited passes drain the queue in the same order one unlimited
   /// pass would. Returns the number of placements committed.
+  ///
+  /// `no_fit`, when given, is the memo `place` consults for this dispatch
+  /// call, and the caller promises that for the whole call `place` refuses
+  /// every allocation the memo refuses, with no side effect. So a runtime
+  /// passes it only while its admission gate cannot close (a held probe is
+  /// counted, so it is a side effect). The pass then checks each retry
+  /// lane's shared allocation against the memo before visiting its next
+  /// task, and drops a refused lane for the rest of the pass: none of its
+  /// tasks reach `defer` or `place`. That changes no outcome, because a
+  /// retry allocation never changes while queued and the memo only refuses
+  /// more within a call. Without `no_fit` the pass walks the queue in
+  /// order and offers every task.
   std::size_t dispatch_pass(const PlaceFn& place, const CommitFn& commit,
                             const DeferFn& defer = {},
-                            std::size_t max_placements = kNoPlacementLimit);
+                            std::size_t max_placements = kNoPlacementLimit,
+                            const NoFitMemo* no_fit = nullptr);
 
   /// Successful completion of the in-flight attempt: feeds WasteAccounting
   /// and the allocator (significance per config), releases dependents whose
@@ -200,7 +219,7 @@ class DispatchCore {
   /// asks the allocator to escalate the exceeded dimensions, and requeues
   /// at the back — or declares the task fatal when the escalation cannot
   /// grow (clamped at worker capacity), the budget is spent, or the mask
-  /// is empty.
+  /// is empty. Throws std::logic_error unless the task is Running.
   RetryVerdict fail_attempt(std::uint64_t task_id, double runtime_s,
                             unsigned exceeded_mask);
 
@@ -238,7 +257,7 @@ class DispatchCore {
     return entries_[task_id];
   }
   std::size_t task_count() const noexcept { return tasks_.size(); }
-  std::size_t ready_size() const noexcept { return ready_.size(); }
+  std::size_t ready_size() const noexcept { return ready_count_; }
   std::size_t completed() const noexcept { return completed_; }
   std::size_t fatal() const noexcept { return fatal_; }
   /// Done + Fatal.
@@ -265,7 +284,9 @@ class DispatchCore {
   /// dependency graph, interned category ids, config) is NOT serialized —
   /// load_state requires a core freshly constructed over the same workload
   /// and config, and restores it to bit-identical mutable state. Hooks do
-  /// not fire during load (the events already happened).
+  /// not fire during load (the events already happened). Throws
+  /// std::runtime_error on a phase byte outside TaskPhase, or on a ready
+  /// list naming a task that is out of range, listed twice, or not Queued.
   void save_state(util::ByteWriter& w) const;
   void load_state(util::ByteReader& r);
 
@@ -274,9 +295,42 @@ class DispatchCore {
   void set_hooks(RuntimeHooks* hooks) noexcept { hooks_ = hooks; }
 
  private:
+  /// The ready queue is one FIFO, stored as lanes: lane 0 holds the tasks
+  /// whose allocation may be (re)computed at dispatch, and each other lane
+  /// the retry tasks sharing one exact allocation, which never changes
+  /// while they wait. Every queued task carries a key; keys grow in FIFO
+  /// order (requeue_front takes one below all others), each lane lists its
+  /// tasks by ascending key, and a doubly linked list threads the whole
+  /// queue in key order for save_state. All links are task-indexed arrays
+  /// sized at construction, so queue operations never allocate, and the
+  /// lane records are recycled once empty.
+  static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
+  struct QueueLink {
+    std::uint64_t key = 0;
+    std::uint32_t prev = kNil;       ///< queue order
+    std::uint32_t next = kNil;       ///< queue order
+    std::uint32_t lane_next = kNil;  ///< the next task of the same lane
+    std::uint32_t lane = 0;          ///< the lane the task waits in
+  };
+  struct Lane {
+    ResourceVector alloc;  ///< the shared retry allocation (unused in lane 0)
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    /// dispatch_pass's cursor: the task to visit next and the last task
+    /// before it that stays queued.
+    std::uint32_t cur = kNil;
+    std::uint32_t kept = kNil;
+  };
+
   void maybe_ready(std::uint64_t task_id);
   void ensure_allocation(std::uint64_t task_id);
   double significance_for(const TaskSpec& spec) const;
+  void enqueue(std::uint64_t task_id, bool front);
+  std::uint32_t lane_for(const TaskEntry& e);
+  /// Moves lane `l`'s pass cursor past the task it points at, unlinking
+  /// that task from the queue first when the pass dequeued it.
+  void advance(std::uint32_t l, bool dequeued) noexcept;
+  void clear_queue() noexcept;
 
   std::span<const TaskSpec> tasks_;
   TaskAllocator& allocator_;
@@ -286,10 +340,18 @@ class DispatchCore {
   std::vector<CategoryId> alloc_category_;  ///< allocator-table ids
   std::vector<CategoryId> acct_category_;   ///< accounting-table ids
   std::vector<std::vector<std::uint64_t>> dependents_;
-  std::deque<std::uint64_t> ready_;  ///< FIFO; evictions requeue at the front
-  /// dispatch_pass's working queue: the unplaced tasks in order, swapped
-  /// into ready_ at the end of the pass. Empty between passes.
-  std::deque<std::uint64_t> waiting_;
+  std::vector<QueueLink> links_;  ///< per task; meaningful while queued
+  std::vector<Lane> lanes_;       ///< lanes_[0] is the first-attempt lane
+  std::vector<std::uint32_t> retry_lanes_;  ///< the non-empty retry lanes
+  std::vector<std::uint32_t> free_lanes_;   ///< recycled lane records
+  /// dispatch_pass's merge heap over retry lanes (earliest next task on
+  /// top); kept to reuse its storage.
+  std::vector<std::uint32_t> merge_heap_;
+  std::uint32_t queue_head_ = kNil;
+  std::uint32_t queue_tail_ = kNil;
+  std::size_t ready_count_ = 0;
+  std::uint64_t front_key_ = 0;  ///< requeue_front's next key (counts down)
+  std::uint64_t back_key_ = 0;   ///< push-back's next key (counts up)
   WasteAccounting accounting_;
   ResourceVector evicted_alloc_;
   std::size_t evictions_ = 0;

@@ -194,7 +194,8 @@ void MultiTenantCore::mark_submitted(std::uint64_t global_id) {
 std::size_t MultiTenantCore::dispatch_pass(const PlaceFn& place,
                                            const CommitFn& commit,
                                            const DeferFn& defer,
-                                           const PoolCapacityFn& pool_capacity) {
+                                           const PoolCapacityFn& pool_capacity,
+                                           const lifecycle::NoFitMemo* no_fit) {
   if (single_passthrough_) {
     // The legacy path, verbatim: one unlimited FIFO pass. Only the commit
     // is wrapped (to keep the running-attempt stats), which changes no
@@ -206,14 +207,16 @@ std::size_t MultiTenantCore::dispatch_pass(const PlaceFn& place,
       ++running_count_[0];
       commit(task, worker, alloc);
     };
-    return cores_[0]->dispatch_pass(place, wrapped, defer);
+    return cores_[0]->dispatch_pass(place, wrapped, defer,
+                                    lifecycle::DispatchCore::kNoPlacementLimit,
+                                    no_fit);
   }
-  return arbitrated_pass(place, commit, defer, pool_capacity);
+  return arbitrated_pass(place, commit, defer, pool_capacity, no_fit);
 }
 
 std::size_t MultiTenantCore::arbitrated_pass(
     const PlaceFn& place, const CommitFn& commit, const DeferFn& defer,
-    const PoolCapacityFn& pool_capacity) {
+    const PoolCapacityFn& pool_capacity, const lifecycle::NoFitMemo* no_fit) {
   std::vector<TenantView> views(tenants_.size());
   for (std::size_t t = 0; t < tenants_.size(); ++t) {
     views[t].id = static_cast<TenantId>(t);
@@ -252,7 +255,7 @@ std::size_t MultiTenantCore::arbitrated_pass(
     if (defer) {
       d = [&defer, b](std::uint64_t local) { return defer(b + local); };
     }
-    const std::size_t placed = cores_[t]->dispatch_pass(p, c, d, 1);
+    const std::size_t placed = cores_[t]->dispatch_pass(p, c, d, 1, no_fit);
     total_placed += placed;
     arbiter_->feedback(t, placed, granted);
   }

@@ -75,9 +75,13 @@ class MultiTenantCore {
   /// One arbiter-ordered scheduling sweep. At N=1 + pass-through this is
   /// exactly one legacy unlimited dispatch pass; otherwise progressive
   /// filling, one placement per arbiter offer. Returns placements made.
+  /// `no_fit` is handed to every tenant's pass (the contract is
+  /// DispatchCore::dispatch_pass's); one memo serves all tenants because
+  /// the call only commits capacity, whichever tenant places.
   std::size_t dispatch_pass(const PlaceFn& place, const CommitFn& commit,
                             const DeferFn& defer = {},
-                            const PoolCapacityFn& pool_capacity = {});
+                            const PoolCapacityFn& pool_capacity = {},
+                            const lifecycle::NoFitMemo* no_fit = nullptr);
   void complete(std::uint64_t global_id, const ResourceVector& measured_peak,
                 double runtime_s);
   lifecycle::DispatchCore::RetryVerdict fail_attempt(std::uint64_t global_id,
@@ -164,7 +168,8 @@ class MultiTenantCore {
   void rebuild_running_stats();
   std::size_t arbitrated_pass(const PlaceFn& place, const CommitFn& commit,
                               const DeferFn& defer,
-                              const PoolCapacityFn& pool_capacity);
+                              const PoolCapacityFn& pool_capacity,
+                              const lifecycle::NoFitMemo* no_fit);
 
   std::vector<TenantInput> tenants_;
   std::unique_ptr<Arbiter> arbiter_;

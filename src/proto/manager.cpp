@@ -645,7 +645,9 @@ void ProtocolManager::dispatch_queued() {
   }
   // Placements only commit capacity within this call, so an allocation no
   // worker fitted stays unplaceable, along with every larger one, until
-  // the call ends (core/lifecycle/no_fit_memo.hpp).
+  // the call ends (core/lifecycle/no_fit_memo.hpp). Uncapped, the gate
+  // cannot close during the call, so the pass may also skip whole retry
+  // lanes the memo refuses (DispatchCore::dispatch_pass).
   no_fit_.clear();
   core_.dispatch_pass(
       // Placement query, no commit (see choose_worker for the policy). The
@@ -703,7 +705,8 @@ void ProtocolManager::dispatch_queued() {
         ResourceVector total;
         for (const auto& [wid, ws] : workers_) total += ws.capacity;
         return total;
-      });
+      },
+      capped ? nullptr : &no_fit_);
   maybe_speculate();
 }
 

@@ -404,7 +404,9 @@ void Simulation::dispatch() {
   // in-flight cap is the shared admission gate (core/lifecycle/drain.hpp):
   // held probes are counted but the task stays queued in order. Behind the
   // gate, the no-fit memo refuses allocations that dominate one no worker
-  // fitted earlier in this call, without scanning the pool.
+  // fitted earlier in this call, without scanning the pool. Outside degraded
+  // mode the gate stays open for the whole call, so the pass may also skip
+  // whole retry lanes the memo refuses (DispatchCore::dispatch_pass).
   no_fit_.clear();
   core_.dispatch_pass(
       core::lifecycle::gated_place(
@@ -438,7 +440,8 @@ void Simulation::dispatch() {
                      worker_id, timing_[task_id].epoch);
         schedule_resilience_events(task_id);
       },
-      {}, [this] { return pool_capacity(); });
+      {}, [this] { return pool_capacity(); },
+      storms_.degraded() ? nullptr : &no_fit_);
 }
 
 double Simulation::deadline_widen() const noexcept {
